@@ -1,8 +1,8 @@
 //! Deep elementwise activation pipeline: `depth` chained unary maps over
 //! one sparse operand. Not a paper model — a scheduler microbench kernel
 //! whose fully-fused lowering is one long single-reader/single-writer
-//! chain, the regime the compiled backend's chain fusion targets (real
-//! models interleave scanners and repeats, capping chains at a few nodes).
+//! chain where every node is busy every cycle (real models interleave
+//! scanners and repeats, capping chains at a few nodes).
 
 use crate::ModelInstance;
 use fuseflow_core::ir::Program;

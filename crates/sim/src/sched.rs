@@ -249,11 +249,10 @@ mod tests {
         assert_eq!(q.next_time(5), Some(9));
     }
 
-    /// Compiled-chain coverage: the wake queue is indexed by *unit* under
-    /// `Scheduler::Compiled`, and a sleeping fused chain registers one
-    /// timer (the min over its members). A chain sleeping from late in a
-    /// ring period to early in the next lands in a bucket whose slot index
-    /// is *below* `now % HORIZON` — the wraparound case.
+    /// The wake queue is indexed by Event node *rank*, and a sleeping node
+    /// keeps only its earliest timer. A node sleeping from late in a ring
+    /// period to early in the next lands in a bucket whose slot index is
+    /// *below* `now % HORIZON` — the wraparound case.
     #[test]
     fn wake_queue_ring_wraparound_for_sleeping_unit() {
         let mut q = WakeQueue::new(4);
@@ -261,21 +260,21 @@ mod tests {
         let t = now + 120; // slot 100 of the next ring period: wrapped
         assert!(t % HORIZON < now % HORIZON, "test must actually wrap the ring");
         q.schedule(now, t, 2);
-        // A later member timer of the same unit is deduped away.
+        // A later timer of the same rank is deduped away.
         q.schedule(now, t + 40, 2);
         assert_eq!(q.next_time(now), Some(t));
         let mut ready = ReadySet::new(4);
         q.drain_at(t, &mut ready);
         assert_eq!(ready.pop_ge(0), Some(2));
         assert!(q.is_empty(), "wrapped bucket must drain fully");
-        // After the wake fires the unit re-registers its next member
-        // timer; the dedup slot must have been cleared.
+        // After the wake fires the rank registers its next timer; the
+        // dedup slot must have been cleared.
         q.schedule(t, t + 40, 2);
         assert_eq!(q.next_time(t), Some(t + 40));
     }
 
-    /// A unit whose min member sleep is exactly `now + HORIZON` while
-    /// another unit holds a far-future timer: the ring entry must win and
+    /// A rank sleeping until exactly `now + HORIZON` while another rank
+    /// holds a far-future timer: the ring entry must win and
     /// the far entry must survive the drain.
     #[test]
     fn wake_queue_unit_sleep_at_horizon_with_far_tail() {

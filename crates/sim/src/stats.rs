@@ -17,19 +17,6 @@ pub struct SchedCounters {
     /// Most node steps serviced in any single simulated cycle, maxed over
     /// shards (the high-water mark of the ready set).
     pub peak_ready: u64,
-    /// Multi-node chains fused by the `Scheduler::Compiled` compile pass
-    /// (0 under the other backends).
-    pub fused_chains: u64,
-    /// Nodes absorbed into those chains.
-    pub fused_chain_nodes: u64,
-    /// Spatial regions created by the partitioned executor
-    /// (`SimConfig::partitions`), summed over shards; 0 when unpartitioned.
-    pub partition_regions: u64,
-    /// Tokens carried across time-bridged cut channels between regions.
-    pub bridge_tokens: u64,
-    /// Region bursts that ended blocked on a bridge frontier, the
-    /// termination license, or the DRAM-order gate (not on local work).
-    pub frontier_stalls: u64,
 }
 
 impl SchedCounters {
@@ -38,11 +25,6 @@ impl SchedCounters {
         self.events += other.events;
         self.cycles_skipped += other.cycles_skipped;
         self.peak_ready = self.peak_ready.max(other.peak_ready);
-        self.fused_chains += other.fused_chains;
-        self.fused_chain_nodes += other.fused_chain_nodes;
-        self.partition_regions += other.partition_regions;
-        self.bridge_tokens += other.bridge_tokens;
-        self.frontier_stalls += other.frontier_stalls;
     }
 }
 
@@ -155,30 +137,15 @@ mod tests {
     #[test]
     fn semantic_strips_scheduler_counters() {
         let mut a = Stats { cycles: 3, ..Default::default() };
-        a.sched =
-            SchedCounters { events: 9, cycles_skipped: 2, peak_ready: 4, ..Default::default() };
+        a.sched = SchedCounters { events: 9, cycles_skipped: 2, peak_ready: 4 };
         let mut b = a.clone();
-        b.sched = SchedCounters {
-            events: 1,
-            cycles_skipped: 0,
-            peak_ready: 7,
-            fused_chains: 2,
-            fused_chain_nodes: 5,
-            partition_regions: 4,
-            bridge_tokens: 11,
-            frontier_stalls: 3,
-        };
+        b.sched = SchedCounters { events: 1, cycles_skipped: 0, peak_ready: 7 };
         assert_ne!(a, b);
         assert_eq!(a.semantic(), b.semantic());
         a.accumulate(&b);
         assert_eq!(a.sched.events, 10);
         assert_eq!(a.sched.cycles_skipped, 2);
         assert_eq!(a.sched.peak_ready, 7);
-        assert_eq!(a.sched.fused_chains, 2);
-        assert_eq!(a.sched.fused_chain_nodes, 5);
-        assert_eq!(a.sched.partition_regions, 4);
-        assert_eq!(a.sched.bridge_tokens, 11);
-        assert_eq!(a.sched.frontier_stalls, 3);
     }
 
     #[test]

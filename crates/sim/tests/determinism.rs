@@ -37,13 +37,13 @@ fn assert_schedulers_agree(event: &SimResult, sweep: &SimResult) {
     }
 }
 
-/// Every scheduler backend, for the three-way differential suites.
-const ALL_SCHEDULERS: [Scheduler; 3] = [Scheduler::Event, Scheduler::Sweep, Scheduler::Compiled];
+/// Both scheduler backends, for the Sweep ≡ Event differential suites.
+const ALL_SCHEDULERS: [Scheduler; 2] = [Scheduler::Event, Scheduler::Sweep];
 
 /// Runs `g` under every scheduler x thread-count combination and asserts
 /// all of them agree with the `Event`/1-thread base run, which is
 /// returned.
-fn assert_three_way_identical(g: &SamGraph, env: &TensorEnv, cfg: &SimConfig) -> SimResult {
+fn assert_two_way_identical(g: &SamGraph, env: &TensorEnv, cfg: &SimConfig) -> SimResult {
     let base = simulate(g, env, &cfg.clone().with_scheduler(Scheduler::Event)).unwrap();
     for sched in ALL_SCHEDULERS {
         for threads in [1usize, 2, 4] {
@@ -284,7 +284,7 @@ fn threads_knob_clamps_to_one() {
 }
 
 // ---------------------------------------------------------------------------
-// Three-way oracle: event-driven vs. legacy sweep vs. compiled
+// Two-way oracle: event-driven vs. legacy sweep
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -293,7 +293,7 @@ fn event_scheduler_is_default() {
 }
 
 #[test]
-fn spmm_three_way_bit_identical() {
+fn spmm_two_way_bit_identical() {
     let a = gen::adjacency(24, 0.12, gen::GraphPattern::Uniform, 42, &Format::csr());
     let x = gen::sparse_features(24, 16, 0.3, 7, &Format::csr());
     let mut g = SamGraph::new();
@@ -301,7 +301,7 @@ fn spmm_three_way_bit_identical() {
     let mut env = TensorEnv::new();
     env.insert("A", a);
     env.insert("X", x);
-    let event = assert_three_way_identical(&g, &env, &SimConfig::default());
+    let event = assert_two_way_identical(&g, &env, &SimConfig::default());
     let sweep = simulate(&g, &env, &SimConfig::default().with_scheduler(Scheduler::Sweep)).unwrap();
     // The event engine must actually be doing less scheduler work: every
     // visited cycle, the sweep steps all nodes; the event engine only the
@@ -312,41 +312,20 @@ fn spmm_three_way_bit_identical() {
         event.stats.sched.events,
         sweep.stats.sched.events
     );
-    // And the compile pass must find at least the root -> row-scanner
-    // chain of the SpMM wiring.
-    let compiled =
-        simulate(&g, &env, &SimConfig::default().with_scheduler(Scheduler::Compiled)).unwrap();
-    assert!(compiled.stats.sched.fused_chains > 0, "expected fused chains in the SpMM graph");
-    assert_eq!(event.stats.sched.fused_chains, 0, "event runs must not report fusion");
 }
 
 #[test]
-fn copy_pipeline_compiles_into_chains() {
-    // A straight scan -> write pipeline is the chain-fusion best case:
-    // the compile pass must absorb most of the graph into chains.
+fn copy_pipeline_two_way_bit_identical() {
+    // A straight scan -> write pipeline: one shard, no joins.
     let mut g = SamGraph::new();
     add_copy_pipeline(&mut g, "B0", "T0", [12, 12]);
     let mut env = TensorEnv::new();
     env.insert("B0", gen::sparse_features(12, 12, 0.3, 11, &Format::csr()));
-    let compiled =
-        simulate(&g, &env, &SimConfig::default().with_scheduler(Scheduler::Compiled)).unwrap();
-    assert!(
-        compiled.stats.sched.fused_chains >= 1,
-        "expected a fused chain, got {:?}",
-        compiled.stats.sched
-    );
-    // The 7-node pipeline must be mostly absorbed (root -> scanners ->
-    // array -> value writer fuse into one 5-node chain).
-    assert!(
-        compiled.stats.sched.fused_chain_nodes >= 4,
-        "expected >= 4 fused nodes, got {:?}",
-        compiled.stats.sched
-    );
-    assert_three_way_identical(&g, &env, &SimConfig::default());
+    assert_two_way_identical(&g, &env, &SimConfig::default());
 }
 
 #[test]
-fn multi_shard_three_way_bit_identical_at_all_thread_counts() {
+fn multi_shard_two_way_bit_identical_at_all_thread_counts() {
     let mut g = SamGraph::new();
     let mut env = TensorEnv::new();
     for i in 0..4 {
@@ -374,12 +353,11 @@ fn multi_shard_three_way_bit_identical_at_all_thread_counts() {
 
 /// Long-latency stall coverage: block ALUs occupy the unit for many cycles
 /// and DRAM gathers park tokens in `pending_mem`, exercising the calendar
-/// queue's timer wakes (including idle-gap jumps) on all three backends.
-/// The 700-cycle random latency puts scanner wakes past the calendar
-/// horizon (heap path) and, for the compiled backend, makes fused
-/// scanner-headed chains sleep across ring-bucket wraparounds.
+/// queue's timer wakes (including idle-gap jumps) on both backends. The
+/// 700-cycle random latency puts scanner wakes past the calendar horizon
+/// (heap path).
 #[test]
-fn latency_dominated_graph_three_way_bit_identical() {
+fn latency_dominated_graph_two_way_bit_identical() {
     use fuseflow_sim::TimingConfig;
     let a = gen::adjacency(16, 0.2, gen::GraphPattern::PowerLaw, 9, &Format::csr());
     let x = gen::sparse_features(16, 8, 0.4, 10, &Format::csr());
@@ -393,17 +371,14 @@ fn latency_dominated_graph_three_way_bit_identical() {
     timing.dram_random_latency = 700; // beyond the calendar horizon: heap path
     timing.outstanding = 2;
     let cfg = SimConfig { timing, ..SimConfig::default() };
-    let event = assert_three_way_identical(&g, &env, &cfg);
+    let event = assert_two_way_identical(&g, &env, &cfg);
     assert!(event.stats.sched.cycles_skipped > 0, "expected idle-gap fast-forwards");
-    let compiled = simulate(&g, &env, &cfg.clone().with_scheduler(Scheduler::Compiled)).unwrap();
-    assert!(compiled.stats.sched.fused_chains > 0, "latency run must still fuse chains");
-    assert!(compiled.stats.sched.cycles_skipped > 0);
 }
 
 #[test]
 fn error_paths_match_across_schedulers() {
-    // Exhausted cycle budget must be reported at the same point by all
-    // three backends.
+    // Exhausted cycle budget must be reported at the same point by both
+    // backends.
     let mut g = SamGraph::new();
     add_copy_pipeline(&mut g, "B0", "T0", [8, 8]);
     let mut env = TensorEnv::new();
@@ -434,22 +409,22 @@ fn error_paths_match_across_schedulers() {
         }
     }
     assert_eq!(cycles[0], cycles[1], "event vs sweep deadlock cycle");
-    assert_eq!(cycles[0], cycles[2], "event vs compiled deadlock cycle");
 }
 
 // ---------------------------------------------------------------------------
-// Three-way oracle over the model zoo (full compiler pipeline)
+// Two-way oracle over the model zoo (full compiler pipeline)
 // ---------------------------------------------------------------------------
 
 /// Runs one model end to end (compile + simulate every region) under every
 /// scheduler x thread-count combination, fused and unfused, asserting
-/// bit-identical outputs and semantic stats throughout.
-fn assert_model_three_way_identical(m: &fuseflow_models::ModelInstance) {
-    use fuseflow_core::pipeline::{compile, run};
+/// bit-identical outputs and semantic stats throughout. Tensors live at
+/// `loc` (`MemLocation::OnChip` compiles a graph with no DRAM traffic).
+fn assert_model_two_way_identical(m: &fuseflow_models::ModelInstance, loc: MemLocation) {
+    use fuseflow_core::pipeline::{compile_at, run};
     use fuseflow_models::Fusion;
     for fusion in [Fusion::Unfused, Fusion::Full] {
         let sched = m.schedule(fusion);
-        let compiled = compile(&m.program, &sched).unwrap();
+        let compiled = compile_at(&m.program, &sched, loc).unwrap();
         let base = run(&m.program, &compiled, &m.inputs, &SimConfig::default()).unwrap();
         for scheduler in ALL_SCHEDULERS {
             for threads in [1usize, 2, 4] {
@@ -458,12 +433,12 @@ fn assert_model_three_way_identical(m: &fuseflow_models::ModelInstance) {
                 assert_eq!(
                     base.stats.semantic(),
                     other.stats.semantic(),
-                    "{}: stats diverged for {fusion} x {scheduler:?} x {threads} threads",
+                    "{}: stats diverged for {fusion} x {loc:?} x {scheduler:?} x {threads} threads",
                     m.name
                 );
                 assert_eq!(
                     &base.outputs, &other.outputs,
-                    "{}: outputs diverged for {fusion} x {scheduler:?} x {threads} threads",
+                    "{}: outputs diverged for {fusion} x {loc:?} x {scheduler:?} x {threads} threads",
                     m.name
                 );
             }
@@ -472,12 +447,15 @@ fn assert_model_three_way_identical(m: &fuseflow_models::ModelInstance) {
 }
 
 #[test]
-fn model_zoo_sae_three_way_bit_identical() {
-    assert_model_three_way_identical(&fuseflow_models::sae("sae", 16, 8, 4, 0.4, 13));
+fn model_zoo_sae_two_way_bit_identical() {
+    assert_model_two_way_identical(
+        &fuseflow_models::sae("sae", 16, 8, 4, 0.4, 13),
+        MemLocation::Dram,
+    );
 }
 
 #[test]
-fn model_zoo_gcn_three_way_bit_identical() {
+fn model_zoo_gcn_two_way_bit_identical() {
     let ds = fuseflow_models::GraphDataset {
         name: "tiny",
         nodes: 16,
@@ -485,11 +463,14 @@ fn model_zoo_gcn_three_way_bit_identical() {
         density: 0.15,
         pattern: gen::GraphPattern::PowerLaw,
     };
-    assert_model_three_way_identical(&fuseflow_models::gcn(&ds, 8, 4, 17));
+    // DRAM-resident and pinned on-chip (the BRAM-resident regime).
+    let m = fuseflow_models::gcn(&ds, 8, 4, 17);
+    assert_model_two_way_identical(&m, MemLocation::Dram);
+    assert_model_two_way_identical(&m, MemLocation::OnChip);
 }
 
 #[test]
-fn model_zoo_graphsage_three_way_bit_identical() {
+fn model_zoo_graphsage_two_way_bit_identical() {
     let ds = fuseflow_models::GraphDataset {
         name: "tiny",
         nodes: 16,
@@ -497,202 +478,18 @@ fn model_zoo_graphsage_three_way_bit_identical() {
         density: 0.15,
         pattern: gen::GraphPattern::Uniform,
     };
-    assert_model_three_way_identical(&fuseflow_models::graphsage(&ds, 8, 4, 19));
+    assert_model_two_way_identical(&fuseflow_models::graphsage(&ds, 8, 4, 19), MemLocation::Dram);
 }
 
 #[test]
-fn model_zoo_gpt_attention_three_way_bit_identical() {
-    assert_model_three_way_identical(&fuseflow_models::gpt_attention(8, 4, 4, 23));
+fn model_zoo_gpt_attention_two_way_bit_identical() {
+    assert_model_two_way_identical(&fuseflow_models::gpt_attention(8, 4, 4, 23), MemLocation::Dram);
 }
 
-/// The fully-fused map stack lowers to one long unary-ALU chain — the one
-/// workload whose compiled plan is dominated by direct-push ALU segments,
-/// so this exercises the merged segment executor against the generic
-/// engines end to end (odd depth makes the chain end mid-segment).
+/// The fully-fused map stack lowers to one long unary-ALU chain: deep
+/// single-reader/single-writer pipelines where most channels hold a token
+/// every cycle.
 #[test]
-fn model_zoo_map_stack_three_way_bit_identical() {
-    assert_model_three_way_identical(&fuseflow_models::map_stack(16, 9, 0.3, 29));
-}
-
-// ---------------------------------------------------------------------------
-// Partitioned executor: regions x threads vs the Event oracle
-// ---------------------------------------------------------------------------
-
-/// Runs `g` under `partitions` k in {1, 2, 4} x `threads` in {1, 2, 4}
-/// (Event and Compiled routes) and asserts outputs and semantic stats are
-/// bit-identical to the unpartitioned single-threaded Event run. `k = 1`
-/// is additionally required to reproduce the Event schedule byte-for-byte,
-/// scheduler counters included (the knob routes straight to `run_event`).
-fn assert_partitioned_identical(g: &SamGraph, env: &TensorEnv, cfg: &SimConfig) -> SimResult {
-    let base = simulate(g, env, &cfg.clone().with_scheduler(Scheduler::Event)).unwrap();
-    for sched in [Scheduler::Event, Scheduler::Compiled] {
-        for parts in [1usize, 2, 4] {
-            for threads in [1usize, 2, 4] {
-                let c =
-                    cfg.clone().with_scheduler(sched).with_partitions(parts).with_threads(threads);
-                let other = simulate(g, env, &c).unwrap();
-                assert_eq!(
-                    base.stats.semantic(),
-                    other.stats.semantic(),
-                    "semantic stats diverged for {sched:?} x {parts} partitions x {threads} threads"
-                );
-                for (name, t) in &base.outputs {
-                    assert_eq!(
-                        Some(t),
-                        other.outputs.get(name),
-                        "output '{name}' diverged for {sched:?} x {parts} partitions x \
-                         {threads} threads"
-                    );
-                }
-            }
-        }
-    }
-    let k1 = simulate(g, env, &cfg.clone().with_partitions(1)).unwrap();
-    assert_eq!(base.stats, k1.stats, "partitions = 1 must be the Event schedule byte-for-byte");
-    base
-}
-
-#[test]
-fn spmm_partitioned_bit_identical() {
-    let a = gen::adjacency(24, 0.12, gen::GraphPattern::Uniform, 42, &Format::csr());
-    let x = gen::sparse_features(24, 16, 0.3, 7, &Format::csr());
-    let mut g = SamGraph::new();
-    build_spmm(&mut g, 24, 16);
-    let mut env = TensorEnv::new();
-    env.insert("A", a);
-    env.insert("X", x);
-    assert_partitioned_identical(&g, &env, &SimConfig::default());
-    // The partition counters must actually reflect a spatial split with
-    // live bridge traffic on this single-component graph.
-    let part =
-        simulate(&g, &env, &SimConfig::default().with_partitions(4).with_threads(4)).unwrap();
-    assert_eq!(part.stats.sched.partition_regions, 4, "expected a 4-region plan");
-    assert!(part.stats.sched.bridge_tokens > 0, "cut channels must have carried tokens");
-}
-
-/// Stretched DRAM latencies drive the calendar queue's far-heap path and
-/// make regions' clocks drift far apart between exchanges — the hard case
-/// for the frontier protocol.
-#[test]
-fn latency_dominated_graph_partitioned_bit_identical() {
-    use fuseflow_sim::TimingConfig;
-    let a = gen::adjacency(16, 0.2, gen::GraphPattern::PowerLaw, 9, &Format::csr());
-    let x = gen::sparse_features(16, 8, 0.4, 10, &Format::csr());
-    let mut g = SamGraph::new();
-    build_spmm(&mut g, 16, 8);
-    let mut env = TensorEnv::new();
-    env.insert("A", a);
-    env.insert("X", x);
-    let mut timing = TimingConfig::comal();
-    timing.dram_stream_latency = 96;
-    timing.dram_random_latency = 700;
-    timing.outstanding = 2;
-    let cfg = SimConfig { timing, ..SimConfig::default() };
-    assert_partitioned_identical(&g, &env, &cfg);
-}
-
-/// Multi-shard graphs compose both parallelism levels: shards fan out on
-/// the worker pool while each shard is itself spatially partitioned.
-#[test]
-fn multi_shard_partitioned_bit_identical() {
-    let mut g = SamGraph::new();
-    let mut env = TensorEnv::new();
-    for i in 0..3 {
-        let name = format!("B{i}");
-        let out = format!("T{i}");
-        add_copy_pipeline(&mut g, &name, &out, [12, 12]);
-        env.insert(
-            name,
-            gen::sparse_features(12, 12, 0.2 + 0.1 * i as f64, 30 + i as u64, &Format::csr()),
-        );
-    }
-    assert_partitioned_identical(&g, &env, &SimConfig::default());
-}
-
-/// Error paths must be bit-identical too, `Deadlock` diagnostics included:
-/// the partitioned executor reconstructs the exact single-threaded stall
-/// state (same cycle, same per-node residuals, same channel depths).
-#[test]
-fn partitioned_error_paths_match_event() {
-    // Exhausted cycle budget.
-    let mut g = SamGraph::new();
-    add_copy_pipeline(&mut g, "B0", "T0", [8, 8]);
-    let mut env = TensorEnv::new();
-    env.insert("B0", gen::sparse_features(8, 8, 0.3, 3, &Format::csr()));
-    let tiny = SimConfig { max_cycles: 2, ..SimConfig::default() };
-    let base = simulate(&g, &env, &tiny).unwrap_err();
-    assert_eq!(base, fuseflow_sim::SimError::MaxCycles(2));
-    for parts in [2, 4] {
-        for threads in [1, 4] {
-            let err =
-                simulate(&g, &env, &tiny.clone().with_partitions(parts).with_threads(threads))
-                    .unwrap_err();
-            assert_eq!(err, base, "budget error diverged at {parts} partitions x {threads}");
-        }
-    }
-
-    // Genuine deadlock: `outstanding = 0` starves every memory node.
-    let mut g = SamGraph::new();
-    build_spmm(&mut g, 8, 8);
-    let mut env = TensorEnv::new();
-    env.insert("A", gen::adjacency(8, 0.3, gen::GraphPattern::Uniform, 5, &Format::csr()));
-    env.insert("X", gen::sparse_features(8, 8, 0.4, 6, &Format::csr()));
-    let mut timing = fuseflow_sim::TimingConfig::comal();
-    timing.outstanding = 0;
-    let cfg = SimConfig { timing, ..SimConfig::default() };
-    let base = simulate(&g, &env, &cfg).unwrap_err();
-    assert!(matches!(base, fuseflow_sim::SimError::Deadlock { .. }));
-    for parts in [2, 4] {
-        for threads in [1, 4] {
-            let err = simulate(&g, &env, &cfg.clone().with_partitions(parts).with_threads(threads))
-                .unwrap_err();
-            assert_eq!(err, base, "deadlock diverged at {parts} partitions x {threads}");
-        }
-    }
-}
-
-#[test]
-fn partitions_knob_clamps_to_one() {
-    let cfg = SimConfig::default().with_partitions(0);
-    assert_eq!(cfg.partitions, 1);
-}
-
-/// Full-pipeline coverage: compiled models, fused (single component — the
-/// case the partitioned executor exists for), across regions x threads,
-/// DRAM-resident and on-chip (where the DRAM-order gate is vacuous and
-/// regions pipeline freely).
-#[test]
-fn model_zoo_partitioned_bit_identical() {
-    use fuseflow_core::pipeline::{compile, compile_at, run};
-    use fuseflow_models::Fusion;
-    let ds = fuseflow_models::GraphDataset {
-        name: "tiny",
-        nodes: 16,
-        feats: 8,
-        density: 0.15,
-        pattern: gen::GraphPattern::PowerLaw,
-    };
-    let m = fuseflow_models::gcn(&ds, 8, 4, 17);
-    let sched = m.schedule(Fusion::Full);
-    for compiled in [
-        compile(&m.program, &sched).unwrap(),
-        compile_at(&m.program, &sched, MemLocation::OnChip).unwrap(),
-    ] {
-        let base = run(&m.program, &compiled, &m.inputs, &SimConfig::default()).unwrap();
-        for parts in [2usize, 4] {
-            for threads in [1usize, 4] {
-                let cfg = SimConfig::default().with_partitions(parts).with_threads(threads);
-                let other = run(&m.program, &compiled, &m.inputs, &cfg).unwrap();
-                assert_eq!(
-                    base.stats.semantic(),
-                    other.stats.semantic(),
-                    "gcn stats diverged at {parts} partitions x {threads} threads"
-                );
-                assert_eq!(
-                    &base.outputs, &other.outputs,
-                    "gcn outputs diverged at {parts} partitions x {threads} threads"
-                );
-            }
-        }
-    }
+fn model_zoo_map_stack_two_way_bit_identical() {
+    assert_model_two_way_identical(&fuseflow_models::map_stack(16, 9, 0.3, 29), MemLocation::Dram);
 }

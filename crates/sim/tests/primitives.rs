@@ -2,7 +2,7 @@
 //! `run_node_standalone` with literal token streams.
 
 use fuseflow_sam::{AluOp, NodeKind, Payload, ReduceOp, Token};
-use fuseflow_sim::run_node_standalone;
+use fuseflow_sim::{run_node_standalone, SimError};
 use fuseflow_tensor::{DenseTensor, Format, SparseTensor};
 
 fn idx(i: u32) -> Token {
@@ -159,6 +159,23 @@ fn alu_unary_relu() {
     let a = vec![val(-1.0), val(3.0), s(0), D];
     let out = run_node_standalone(NodeKind::Alu { op: AluOp::Relu }, vec![a], vec![]).unwrap();
     assert_eq!(out[0], vec![val(0.0), val(3.0), s(0), D]);
+}
+
+/// A crd operand is a typed semantics error for unary ALUs, exactly like
+/// for binary ones, never a panic.
+#[test]
+fn alu_rejects_crd_operands_unary_and_binary() {
+    let unary =
+        run_node_standalone(NodeKind::Alu { op: AluOp::Relu }, vec![vec![idx(0), D]], vec![])
+            .unwrap_err();
+    assert_eq!(unary, SimError::Semantics("alu operand Idx(0)".into()));
+    let binary = run_node_standalone(
+        NodeKind::Alu { op: AluOp::Add },
+        vec![vec![idx(0), D], vec![idx(1), D]],
+        vec![],
+    )
+    .unwrap_err();
+    assert_eq!(binary, SimError::Semantics("alu operands Idx(0) / Idx(1)".into()));
 }
 
 #[test]

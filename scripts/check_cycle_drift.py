@@ -31,15 +31,6 @@ def cycle_map(report: dict) -> dict:
             out[f"{fig['id']}/{point['label']}"] = point["cycles"]
     for row in report.get("sched", []):
         out[f"sched/{row['workload']}"] = row["cycles"]
-        # The compiled backend must reproduce the event scheduler's cycle
-        # counts exactly; gate its column as an independent point so a
-        # divergence fails CI even if the event count drifts in lockstep.
-        if "cycles_compiled" in row:
-            out[f"sched/{row['workload']}/compiled"] = row["cycles_compiled"]
-        # Same for the partitioned executor on workloads that measure it
-        # (partitions > 0): its cycle count is an independent gate point.
-        if row.get("partitions", 0) > 0:
-            out[f"sched/{row['workload']}/partitioned"] = row["cycles_part"]
     return out
 
 
