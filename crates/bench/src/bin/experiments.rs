@@ -257,9 +257,9 @@ fn fig12(o: Opts) -> Points {
     // Each model sweeps its fusion granularities on one pool worker; model
     // sweeps are independent, so they fan out across the pool.
     let rows = parallel_map(o.threads, models, |(model, dsname, m)| {
-        let base = run_model(&m, &m.schedule(Fusion::Unfused)).cycles;
         let per: Vec<(Fusion, u64)> =
             Fusion::ALL.iter().map(|&f| (f, run_model(&m, &m.schedule(f)).cycles)).collect();
+        let base = per.iter().find(|(f, _)| *f == Fusion::Unfused).expect("Fusion::ALL").1;
         (model, dsname, base, per)
     });
     let mut csv = String::from("model,dataset,fusion,cycles,speedup\n");
@@ -346,9 +346,9 @@ fn fig14(o: Opts) -> Points {
         .collect();
     let rows = parallel_map(o.threads, datasets, |ds| {
         let m = gcn(&ds, 16, 8, 77);
-        let base = run_model(&m, &m.schedule(Fusion::Unfused));
         let per: Vec<(Fusion, Stats)> =
             Fusion::ALL.iter().map(|&f| (f, run_model(&m, &m.schedule(f)))).collect();
+        let base = per.iter().find(|(f, _)| *f == Fusion::Unfused).expect("Fusion::ALL").1.clone();
         (ds.name, base, per)
     });
     let mut csv = String::from("dataset,fusion,flops_rel,bytes_rel,op_intensity\n");

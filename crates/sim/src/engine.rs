@@ -47,7 +47,7 @@ use fuseflow_sam::{
     AluOp, Block, GraphError, MemLocation, NodeKind, Payload, ReduceOp, SamGraph, Token,
 };
 use fuseflow_tensor::{Level, SparseTensor};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 /// Which shard execution loop [`simulate`] runs.
 ///
@@ -227,10 +227,14 @@ impl Chan {
 // Runtime node state
 // ---------------------------------------------------------------------------
 
+/// The fiber being emitted, as a position range of the scanned level:
+/// position `p` carries `crd[p]` on a compressed level and `p - base` on a
+/// dense one.
 #[derive(Debug, Default)]
 struct ScanState {
-    fiber: Vec<(u32, usize)>,
-    fidx: usize,
+    next: usize,
+    end: usize,
+    base: usize,
     emitting: bool,
 }
 
@@ -275,9 +279,10 @@ enum Prim {
         op: ReduceOp,
         acc: Option<Payload>,
     },
+    /// `acc` holds the open fiber's coordinates in ascending order.
     Spacc {
         op: ReduceOp,
-        map: BTreeMap<u32, Payload>,
+        acc: Vec<(u32, Payload)>,
     },
     CrdDrop {
         done: [bool; 2],
@@ -314,7 +319,7 @@ impl Prim {
             NodeKind::Array { tensor } => Prim::Array { tensor },
             NodeKind::Alu { op } => Prim::Alu { op },
             NodeKind::Reduce { op } => Prim::Reduce { op, acc: None },
-            NodeKind::Spacc1 { op } => Prim::Spacc { op, map: BTreeMap::new() },
+            NodeKind::Spacc1 { op } => Prim::Spacc { op, acc: Vec::new() },
             NodeKind::CrdDrop => Prim::CrdDrop { done: [false; 2] },
             NodeKind::CrdWriter { output, level } => {
                 Prim::Writer { output, level: Some(level), tokens: Vec::new() }
@@ -510,7 +515,7 @@ impl Rt {
             Prim::Array { tensor } => io.act_array(ctx, *tensor),
             Prim::Alu { op } => io.act_alu(ctx, *op),
             Prim::Reduce { op, acc } => io.act_reduce(ctx, *op, acc),
-            Prim::Spacc { op, map } => io.act_spacc(ctx, *op, map),
+            Prim::Spacc { op, acc } => io.act_spacc(ctx, *op, acc),
             Prim::CrdDrop { done } => Ok(io.act_crddrop(ctx, done)),
             Prim::Writer { output, tokens, .. } => Ok(io.act_writer(ctx, *output, tokens)),
             Prim::Par { factor, rr } => io.act_par(ctx, *factor, rr),
@@ -586,19 +591,22 @@ impl Io {
             if self.out_q[port].is_empty() {
                 continue;
             }
-            if self.out_chans[port].is_empty() {
+            let Some((&last, rest)) = self.out_chans[port].split_last() else {
                 // Unconnected port: discard.
                 self.out_q[port].clear();
                 continue;
-            }
+            };
             if self.can_flush(ctx, port) {
                 let tok = self.out_q[port].pop_front().expect("nonempty");
                 if tok.is_elem() {
                     self.elems += 1;
                 }
-                for &c in &self.out_chans[port] {
+                // Fan-out: clone for every channel but the last, which
+                // takes the token itself.
+                for &c in rest {
                     ctx.push_chan(c, tok.clone());
                 }
+                ctx.push_chan(last, tok);
                 progress = true;
             } else {
                 flush_blocked = true;
@@ -632,12 +640,13 @@ impl Io {
         level: usize,
         st: &mut ScanState,
     ) -> Result<bool, SimError> {
-        let compressed = matches!(ctx.tensors[tensor].level(level), Level::Compressed { .. });
+        let lvl = ctx.tensors[tensor].level(level);
+        let compressed = matches!(lvl, Level::Compressed { .. });
         let in_dram = ctx.tensor_locs[tensor] == MemLocation::Dram;
         let outstanding = ctx.cfg.timing.outstanding;
 
         if st.emitting {
-            if st.fidx < st.fiber.len() {
+            if st.next < st.end {
                 if self.pending_mem.len() >= outstanding {
                     return Ok(false);
                 }
@@ -646,63 +655,72 @@ impl Io {
                 } else {
                     ctx.now
                 };
-                let (c, p) = st.fiber[st.fidx];
-                st.fidx += 1;
+                let p = st.next;
+                let c = match lvl {
+                    Level::Compressed { crd, .. } => crd[p],
+                    Level::Dense { .. } => (p - st.base) as u32,
+                };
+                st.next += 1;
                 self.pending_mem.push_back((Token::idx(c), ready, 0));
                 self.pending_mem.push_back((Token::idx(p as u32), ready, 1));
                 return Ok(true);
             }
             // Fiber boundary (stops flow through the in-order pending
             // queue so they never overtake memory-delayed elements).
-            let Some(head) = self.peek(ctx, 0) else { return Ok(false) };
-            let head = head.clone();
+            let k = match self.peek(ctx, 0) {
+                None => return Ok(false),
+                Some(&Token::Stop(k)) => {
+                    self.pop(ctx, 0);
+                    k + 1
+                }
+                Some(_) => 0,
+            };
             st.emitting = false;
             let now = ctx.now;
-            match head {
-                Token::Elem(_) | Token::Done => {
-                    self.pending_mem.push_back((Token::Stop(0), now, 0));
-                    self.pending_mem.push_back((Token::Stop(0), now, 1));
-                }
-                Token::Stop(k) => {
-                    self.pop(ctx, 0);
-                    self.pending_mem.push_back((Token::Stop(k + 1), now, 0));
-                    self.pending_mem.push_back((Token::Stop(k + 1), now, 1));
-                }
-            }
+            self.pending_mem.push_back((Token::Stop(k), now, 0));
+            self.pending_mem.push_back((Token::Stop(k), now, 1));
             return Ok(true);
         }
 
         // Idle: load the next fiber or forward boundaries.
-        let Some(head) = self.peek(ctx, 0) else { return Ok(false) };
-        let head = head.clone();
-        match head {
+        if self.peek(ctx, 0).is_none() {
+            return Ok(false);
+        }
+        match self.pop(ctx, 0) {
             Token::Elem(Payload::Idx(r)) => {
-                self.pop(ctx, 0);
+                let r = r as usize;
+                (st.next, st.end) = match lvl {
+                    Level::Dense { size } => (r * size, (r + 1) * size),
+                    Level::Compressed { pos, .. } => match (pos.get(r), pos.get(r + 1)) {
+                        (Some(&a), Some(&b)) => (a, b),
+                        _ => {
+                            return Err(SimError::Semantics(format!(
+                                "scanner reference {r} past the level's {} fibers",
+                                pos.len().saturating_sub(1)
+                            )))
+                        }
+                    },
+                };
                 if compressed && in_dram {
                     // pos-array read for the fiber bounds.
                     let _ = ctx.dram.request(ctx.now, 8, AccessKind::Stream, false);
                 }
-                st.fiber = ctx.tensors[tensor].level(level).fiber(r as usize).collect();
-                st.fidx = 0;
+                st.base = st.next;
                 st.emitting = true;
             }
             Token::Elem(Payload::Empty) => {
-                self.pop(ctx, 0);
-                st.fiber = Vec::new();
-                st.fidx = 0;
+                (st.next, st.end) = (0, 0);
                 st.emitting = true;
             }
             Token::Elem(other) => {
                 return Err(SimError::Semantics(format!("scanner received payload {other:?}")))
             }
             Token::Stop(k) => {
-                self.pop(ctx, 0);
                 let now = ctx.now;
                 self.pending_mem.push_back((Token::Stop(k + 1), now, 0));
                 self.pending_mem.push_back((Token::Stop(k + 1), now, 1));
             }
             Token::Done => {
-                self.pop(ctx, 0);
                 let now = ctx.now;
                 self.pending_mem.push_back((Token::Done, now, 0));
                 self.pending_mem.push_back((Token::Done, now, 1));
@@ -714,23 +732,20 @@ impl Io {
 
     fn act_repeat(&mut self, ctx: &mut Ctx, base: &mut Option<Payload>) -> Result<bool, SimError> {
         let Some(rep_head) = self.peek(ctx, 1) else { return Ok(false) };
-        let rep_head = rep_head.clone();
-        match rep_head {
+        match *rep_head {
             Token::Elem(_) => {
                 if base.is_none() {
-                    let Some(head) = self.peek(ctx, 0) else { return Ok(false) };
-                    match head {
-                        Token::Elem(p) => {
-                            let p = p.clone();
-                            self.pop(ctx, 0);
-                            *base = Some(p);
-                        }
-                        other => {
+                    match self.peek(ctx, 0) {
+                        None => return Ok(false),
+                        Some(Token::Elem(_)) => {}
+                        Some(other) => {
                             return Err(SimError::Semantics(format!(
                                 "repeat expected base element, found {other:?}"
                             )))
                         }
                     }
+                    let Token::Elem(p) = self.pop(ctx, 0) else { unreachable!("peeked") };
+                    *base = Some(p);
                 }
                 self.pop(ctx, 1);
                 let p = base.clone().expect("loaded above");
@@ -790,13 +805,13 @@ impl Io {
         let (Some(a), Some(b)) = (self.peek(ctx, 0), self.peek(ctx, 2)) else {
             return Ok(false);
         };
-        let (a, b) = (a.clone(), b.clone());
         if !self.side_ready(ctx, 1) || !self.side_ready(ctx, 3) {
             return Ok(false);
         }
-        match (&a, &b) {
+        match (a, b) {
             (Token::Elem(ca), Token::Elem(cb)) => {
-                let (ia, ib) = (ca.idx(), cb.idx());
+                let ia = crd_of(ca, "join", &self.label)?;
+                let ib = crd_of(cb, "join", &self.label)?;
                 if ia == ib {
                     let pa = self.pop_side(ctx, 0, 1);
                     let pb = self.pop_side(ctx, 2, 3);
@@ -842,7 +857,7 @@ impl Io {
                     let _ = self.pop_side(ctx, 0, 1);
                 }
                 JoinMode::Union | JoinMode::UnionLeft => {
-                    let ia = ca.idx();
+                    let ia = crd_of(ca, "join", &self.label)?;
                     let pa = self.pop_side(ctx, 0, 1);
                     self.out_q[0].push_back(Token::idx(ia));
                     if let Some(t) = pa {
@@ -856,7 +871,7 @@ impl Io {
                     let _ = self.pop_side(ctx, 2, 3);
                 }
                 JoinMode::Union => {
-                    let ib = cb.idx();
+                    let ib = crd_of(cb, "join", &self.label)?;
                     let pb = self.pop_side(ctx, 2, 3);
                     self.out_q[0].push_back(Token::idx(ib));
                     self.out_q[1].push_back(Token::Elem(Payload::Empty));
@@ -901,13 +916,13 @@ impl Io {
         if self.pending_mem.len() >= ctx.cfg.timing.outstanding {
             return Ok(false);
         }
-        let Some(head) = self.peek(ctx, 0) else { return Ok(false) };
-        let head = head.clone();
+        if self.peek(ctx, 0).is_none() {
+            return Ok(false);
+        }
         let t = ctx.tensors[tensor];
         let in_dram = ctx.tensor_locs[tensor] == MemLocation::Dram;
-        match head {
+        match self.pop(ctx, 0) {
             Token::Elem(Payload::Idx(r)) => {
-                self.pop(ctx, 0);
                 let (payload, bytes) = if t.is_blocked() {
                     let [b0, b1] = t.block();
                     let blk = Block::new(b0, b1, t.val_block(r as usize).to_vec());
@@ -923,7 +938,6 @@ impl Io {
                 self.pending_mem.push_back((Token::Elem(payload), ready, 0));
             }
             Token::Elem(Payload::Empty) => {
-                self.pop(ctx, 0);
                 let payload = if t.is_blocked() {
                     let [b0, b1] = t.block();
                     Payload::Blk(Block::zeros(b0, b1))
@@ -936,11 +950,9 @@ impl Io {
                 return Err(SimError::Semantics(format!("array received payload {other:?}")))
             }
             Token::Stop(k) => {
-                self.pop(ctx, 0);
                 self.pending_mem.push_back((Token::Stop(k), ctx.now, 0));
             }
             Token::Done => {
-                self.pop(ctx, 0);
                 self.pending_mem.push_back((Token::Done, ctx.now, 0));
                 self.done = true;
             }
@@ -951,44 +963,35 @@ impl Io {
     fn act_alu(&mut self, ctx: &mut Ctx, op: AluOp) -> Result<bool, SimError> {
         ctx.pending_busy = 0;
         if op.arity() == 1 {
-            let Some(head) = self.peek(ctx, 0) else { return Ok(false) };
-            let head = head.clone();
-            match head {
+            if self.peek(ctx, 0).is_none() {
+                return Ok(false);
+            }
+            match self.pop(ctx, 0) {
                 Token::Elem(p) => {
-                    self.pop(ctx, 0);
                     let out = alu_unary(ctx, op, p)?;
                     self.out_q[0].push_back(Token::Elem(out));
                 }
                 Token::Stop(k) => {
-                    self.pop(ctx, 0);
                     self.out_q[0].push_back(Token::Stop(k));
                 }
                 Token::Done => {
-                    self.pop(ctx, 0);
                     self.out_q[0].push_back(Token::Done);
                     self.done = true;
                 }
             }
         } else {
-            let (Some(a), Some(b)) = (self.peek(ctx, 0), self.peek(ctx, 1)) else {
+            if self.peek(ctx, 0).is_none() || self.peek(ctx, 1).is_none() {
                 return Ok(false);
-            };
-            let (a, b) = (a.clone(), b.clone());
-            match (a, b) {
+            }
+            match (self.pop(ctx, 0), self.pop(ctx, 1)) {
                 (Token::Elem(pa), Token::Elem(pb)) => {
-                    self.pop(ctx, 0);
-                    self.pop(ctx, 1);
                     let out = alu_combine(ctx, op, pa, pb)?;
                     self.out_q[0].push_back(Token::Elem(out));
                 }
                 (Token::Stop(ka), Token::Stop(kb)) if ka == kb => {
-                    self.pop(ctx, 0);
-                    self.pop(ctx, 1);
                     self.out_q[0].push_back(Token::Stop(ka));
                 }
                 (Token::Done, Token::Done) => {
-                    self.pop(ctx, 0);
-                    self.pop(ctx, 1);
                     self.out_q[0].push_back(Token::Done);
                     self.done = true;
                 }
@@ -1012,11 +1015,11 @@ impl Io {
         op: ReduceOp,
         acc: &mut Option<Payload>,
     ) -> Result<bool, SimError> {
-        let Some(head) = self.peek(ctx, 0) else { return Ok(false) };
-        let head = head.clone();
-        match head {
+        if self.peek(ctx, 0).is_none() {
+            return Ok(false);
+        }
+        match self.pop(ctx, 0) {
             Token::Elem(p) => {
-                self.pop(ctx, 0);
                 let mut extra_flops = 0u64;
                 let new = match (acc.take(), p) {
                     (None, p) => p,
@@ -1040,7 +1043,6 @@ impl Io {
                 ctx.flops += extra_flops;
             }
             Token::Stop(k) => {
-                self.pop(ctx, 0);
                 let out = acc.take().unwrap_or(Payload::F(op.identity()));
                 self.out_q[0].push_back(Token::Elem(out));
                 if k >= 1 {
@@ -1048,7 +1050,6 @@ impl Io {
                 }
             }
             Token::Done => {
-                self.pop(ctx, 0);
                 self.out_q[0].push_back(Token::Done);
                 self.done = true;
             }
@@ -1060,30 +1061,25 @@ impl Io {
         &mut self,
         ctx: &mut Ctx,
         op: ReduceOp,
-        map: &mut BTreeMap<u32, Payload>,
+        acc: &mut Vec<(u32, Payload)>,
     ) -> Result<bool, SimError> {
-        let (Some(c), Some(v)) = (self.peek(ctx, 0), self.peek(ctx, 1)) else {
+        if self.peek(ctx, 0).is_none() || self.peek(ctx, 1).is_none() {
             return Ok(false);
-        };
-        let (c, v) = (c.clone(), v.clone());
-        match (c, v) {
+        }
+        match (self.pop(ctx, 0), self.pop(ctx, 1)) {
             (Token::Elem(pc), Token::Elem(pv)) => {
-                self.pop(ctx, 0);
-                self.pop(ctx, 1);
-                let key = pc.idx();
-                let mut extra_flops = 0u64;
-                match map.entry(key) {
-                    std::collections::btree_map::Entry::Vacant(e) => {
-                        e.insert(pv);
-                    }
-                    std::collections::btree_map::Entry::Occupied(mut e) => {
-                        let merged = match (e.get().clone(), pv) {
+                let key = crd_of(&pc, "spacc", &self.label)?;
+                match acc.binary_search_by_key(&key, |e| e.0) {
+                    Err(at) => acc.insert(at, (key, pv)),
+                    Ok(at) => {
+                        let cur = &mut acc[at].1;
+                        *cur = match (std::mem::replace(cur, Payload::Empty), pv) {
                             (Payload::F(a), Payload::F(b)) => {
-                                extra_flops += 1;
+                                ctx.flops += 1;
                                 Payload::F(op.apply(a, b))
                             }
                             (Payload::Blk(a), Payload::Blk(b)) => {
-                                extra_flops += a.len() as u64;
+                                ctx.flops += a.len() as u64;
                                 Payload::Blk(a.zip(&b, |x, y| op.apply(x, y)))
                             }
                             (Payload::Empty, p) | (p, Payload::Empty) => p,
@@ -1093,19 +1089,15 @@ impl Io {
                                 )))
                             }
                         };
-                        e.insert(merged);
                     }
                 }
-                ctx.flops += extra_flops;
             }
             (Token::Stop(kc), Token::Stop(kv)) => {
                 if kc != kv {
                     return Err(SimError::Semantics(format!("spacc stop mismatch {kc} vs {kv}")));
                 }
-                self.pop(ctx, 0);
-                self.pop(ctx, 1);
                 if kc >= 1 {
-                    for (c, v) in std::mem::take(map) {
+                    for (c, v) in acc.drain(..) {
                         self.out_q[0].push_back(Token::idx(c));
                         self.out_q[1].push_back(Token::Elem(v));
                     }
@@ -1116,9 +1108,7 @@ impl Io {
                 // keep accumulating.
             }
             (Token::Done, Token::Done) => {
-                self.pop(ctx, 0);
-                self.pop(ctx, 1);
-                if !map.is_empty() {
+                if !acc.is_empty() {
                     return Err(SimError::Semantics(
                         "spacc reached Done with unflushed state".into(),
                     ));
@@ -1158,10 +1148,11 @@ impl Io {
         if self.pending_mem.len() >= ctx.cfg.timing.outstanding {
             return false;
         }
-        let Some(head) = self.peek(ctx, 0) else { return false };
-        let head = head.clone();
+        if self.peek(ctx, 0).is_none() {
+            return false;
+        }
         let in_dram = ctx.output_locs[output] == MemLocation::Dram;
-        self.pop(ctx, 0);
+        let head = self.pop(ctx, 0);
         if let Token::Elem(p) = &head {
             let bytes = match p {
                 Payload::Blk(b) => (b.len() * 4) as u64,
@@ -1184,14 +1175,11 @@ impl Io {
 
     fn act_par(&mut self, ctx: &mut Ctx, factor: usize, rr: &mut usize) -> Result<bool, SimError> {
         let has_payload = self.connected(1);
-        let Some(head) = self.peek(ctx, 0) else { return Ok(false) };
-        let head = head.clone();
-        if has_payload && self.peek(ctx, 1).is_none() {
+        if self.peek(ctx, 0).is_none() || (has_payload && self.peek(ctx, 1).is_none()) {
             return Ok(false);
         }
-        match head {
-            Token::Elem(_) => {
-                let c = self.pop(ctx, 0);
+        match self.pop(ctx, 0) {
+            c @ Token::Elem(_) => {
                 let b = *rr;
                 *rr = (*rr + 1) % factor;
                 self.out_q[2 * b].push_back(c);
@@ -1201,7 +1189,6 @@ impl Io {
                 }
             }
             Token::Stop(k) => {
-                self.pop(ctx, 0);
                 if has_payload {
                     let p = self.pop(ctx, 1);
                     if p != Token::Stop(k) {
@@ -1219,7 +1206,6 @@ impl Io {
                 }
             }
             Token::Done => {
-                self.pop(ctx, 0);
                 if has_payload {
                     self.pop(ctx, 1);
                 }
@@ -1248,8 +1234,7 @@ impl Io {
         if st.in_unit {
             // Pull the current unit's tokens from branch `cur`.
             let Some(head) = self.peek(ctx, cur) else { return Ok(false) };
-            let head = head.clone();
-            match head {
+            match *head {
                 Token::Elem(_) => {
                     let tok = self.pop(ctx, cur);
                     self.out_q[0].push_back(tok);
@@ -1282,8 +1267,7 @@ impl Io {
         }
 
         let Some(order_head) = self.peek(ctx, order_port) else { return Ok(false) };
-        let order_head = order_head.clone();
-        match order_head {
+        match *order_head {
             Token::Elem(_) => {
                 if st.pending_unit {
                     // Close the previous unit before starting the next one.
@@ -1363,6 +1347,15 @@ impl Io {
             }
         }
         Ok(true)
+    }
+}
+
+/// The coordinate a crd-port payload carries; any other payload breaks
+/// the stream's typing.
+fn crd_of(p: &Payload, what: &str, label: &str) -> Result<u32, SimError> {
+    match p {
+        Payload::Idx(i) => Ok(*i),
+        other => Err(SimError::Semantics(format!("{what} coordinate {other:?} at {label}"))),
     }
 }
 

@@ -69,6 +69,32 @@ fn scanner_forwards_empty_payloads_as_empty_fibers() {
 }
 
 #[test]
+fn scanner_dense_level_offsets_positions_by_fiber() {
+    // A dense 2x3 matrix: each fiber of level 1 spans positions
+    // `r * 3 .. r * 3 + 3`, and an `Empty` reference is an empty fiber.
+    let t = SparseTensor::from_dense(&DenseTensor::zeros(vec![2, 3]), &Format::dense(2));
+    let refs = vec![idx(1), Token::Elem(Payload::Empty), idx(0), s(0), D];
+    let out =
+        run_node_standalone(NodeKind::LevelScanner { tensor: 0, level: 1 }, vec![refs], vec![t])
+            .unwrap();
+    assert_eq!(out[0], vec![idx(0), idx(1), idx(2), s(0), s(0), idx(0), idx(1), idx(2), s(1), D]);
+    assert_eq!(out[1], vec![idx(3), idx(4), idx(5), s(0), s(0), idx(0), idx(1), idx(2), s(1), D]);
+}
+
+#[test]
+fn scanner_rejects_reference_past_compressed_level() {
+    let dense = DenseTensor::from_vec(vec![2, 2], vec![1., 2., 3., 4.]);
+    let t = SparseTensor::from_dense(&dense, &Format::csr());
+    let err = run_node_standalone(
+        NodeKind::LevelScanner { tensor: 0, level: 1 },
+        vec![vec![idx(2), D]],
+        vec![t],
+    )
+    .unwrap_err();
+    assert_eq!(err, SimError::Semantics("scanner reference 2 past the level's 2 fibers".into()));
+}
+
+#[test]
 fn repeat_root_per_coordinate() {
     // Repeat X's root reference once per i coordinate.
     let base = vec![idx(0), D];
@@ -178,6 +204,24 @@ fn alu_rejects_crd_operands_unary_and_binary() {
     assert_eq!(binary, SimError::Semantics("alu operands Idx(0) / Idx(1)".into()));
 }
 
+/// A value on a coordinate port is a typed semantics error for the joins
+/// and for `Spacc1`, never a panic.
+#[test]
+fn joins_and_spacc_reject_value_coordinates() {
+    let err = |kind, inputs| run_node_standalone(kind, inputs, vec![]).unwrap_err();
+    let want = |what: &str| SimError::Semantics(format!("{what} coordinate F(1.0) at standalone"));
+    // Both heads are elements: the coordinates are compared.
+    for kind in [NodeKind::Intersect, NodeKind::Union, NodeKind::UnionLeft] {
+        let inputs = vec![vec![val(1.0), D], vec![], vec![idx(0), D], vec![]];
+        assert_eq!(err(kind, inputs), want("join"));
+    }
+    // One side is exhausted: a union still emits the other's coordinate.
+    let inputs = vec![vec![s(0), D], vec![], vec![val(1.0), D], vec![]];
+    assert_eq!(err(NodeKind::Union, inputs), want("join"));
+    let inputs = vec![vec![val(1.0), D], vec![val(2.0), D]];
+    assert_eq!(err(NodeKind::Spacc1 { op: ReduceOp::Sum }, inputs), want("spacc"));
+}
+
 #[test]
 fn reduce_sums_inner_fibers() {
     let v = vec![val(1.0), val(2.0), s(0), val(5.0), s(1), D];
@@ -218,6 +262,20 @@ fn spacc_flushes_empty_fiber_for_empty_accumulation() {
         .unwrap();
     assert_eq!(out[0], vec![s(0), idx(2), s(1), D]);
     assert_eq!(out[1], vec![s(0), val(5.0), s(1), D]);
+}
+
+#[test]
+fn spacc_sorts_out_of_order_keys_and_merges_duplicates_and_empties() {
+    let e = || Token::Elem(Payload::Empty);
+    let crd =
+        vec![idx(3), idx(1), idx(3), idx(0), idx(1), idx(2), idx(2), s(1), idx(5), idx(4), s(2), D];
+    let vals =
+        vec![val(1.), val(2.), val(4.), e(), e(), e(), val(5.), s(1), val(6.), val(7.), s(2), D];
+    let out = run_node_standalone(NodeKind::Spacc1 { op: ReduceOp::Sum }, vec![crd, vals], vec![])
+        .unwrap();
+    assert_eq!(out[0], vec![idx(0), idx(1), idx(2), idx(3), s(0), idx(4), idx(5), s(1), D]);
+    // 3: 1 + 4; 1: 2 then Empty; 0: Empty alone; 2: Empty then 5.
+    assert_eq!(out[1], vec![e(), val(2.), val(5.), val(5.), s(0), val(7.), val(6.), s(1), D]);
 }
 
 #[test]
